@@ -429,15 +429,38 @@ func BenchmarkAblationPredictors(b *testing.B) {
 	}
 }
 
-// BenchmarkDetailedCore measures raw detailed-simulation throughput.
+// BenchmarkDetailedCore measures raw detailed-simulation throughput in host
+// ns per committed instruction, for gcc and mcf on the base machine and on
+// a memory-bound Plackett-Burman machine: every factor low except the
+// window (ROB 256, IQ and LSQ 128) and the memory latency (400 cycles), so
+// long-latency loads keep a large window full and the core mostly waits.
 func BenchmarkDetailedCore(b *testing.B) {
-	p := bench.MustBuild(bench.Gcc, bench.Reference, sim.ScaleCLI)
-	r, err := sim.NewRunner(p, sim.BaseConfig())
+	levels := make([]bool, sim.NumParams)
+	for i, p := range sim.Params() {
+		switch p.Name {
+		case "rob-entries", "iq-entries", "lsq-entries", "mem-first-lat":
+			levels[i] = true
+		}
+	}
+	memBound, err := sim.PBConfig(levels)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	r.Detailed(uint64(b.N))
+	memBound.Name = "mem-bound"
+	for _, bn := range []bench.Name{bench.Gcc, bench.Mcf} {
+		p := bench.MustBuild(bn, bench.Reference, sim.ScaleCLI)
+		for _, cfg := range []sim.Config{sim.BaseConfig(), memBound} {
+			b.Run(string(bn)+"/"+cfg.Name, func(b *testing.B) {
+				r, err := sim.NewRunner(p, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				n := r.Detailed(uint64(b.N))
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(n, 1)), "ns/instr")
+			})
+		}
+	}
 }
 
 // BenchmarkFunctionalEmulator measures functional-emulation throughput.

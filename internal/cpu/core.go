@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/branch"
 	"repro/internal/isa"
@@ -98,12 +99,28 @@ func (c CoreConfig) Validate() error {
 type robEntry struct {
 	di        DynInst
 	seq       int64 // global fetch order; also identifies the ROB slot
-	depA      int64 // producer seqs; -1 when the operand was ready at dispatch
+	depA      int64 // producer seqs; -1 when the value was in the register file at dispatch
 	depB      int64
-	issued    bool
-	done      bool
-	doneCycle uint64
+	doneCycle uint64    // valid once issued: the cycle the result is available
+	issued    bool      // issued entries are also done (at doneCycle)
+	writes    bool      // writes a register, so consumers may wait on it
 	level     mem.Level // for loads: the hierarchy level that served the access
+
+	// Wakeup state. pending counts operands whose producers have not yet
+	// completed; the entry joins the ready set when it reaches zero.
+	// consumers heads the intrusive list of entries waiting on this one's
+	// result and next links this entry into its producers' lists, one link
+	// per operand; links are slot<<1 | operand, -1 ends a list.
+	pending   uint8
+	consumers int32
+	next      [2]int32
+}
+
+// completion is a scheduled wakeup: the issued register writer in slot
+// completes (and wakes its consumers) at cycle at.
+type completion struct {
+	at   uint64
+	slot int32
 }
 
 // CoreStats counts events observed by the core itself; predictor and memory
@@ -207,17 +224,33 @@ type Core struct {
 	headSeq int64
 	nextSeq int64
 
-	// issueScan is the oldest possibly-unissued seq, advanced lazily so
-	// the per-cycle issue scan skips the already-issued prefix.
-	issueScan int64
+	// ready is a bitset over ROB slots of dispatched, unissued entries
+	// whose operands are all available; issue selects from it
+	// oldest-first. readyCount is its population and readySpan the ring
+	// distance one word covers (64, or the whole ring when smaller).
+	ready      []uint64
+	readyCount int
+	readySpan  int64
+
+	// wakeQ is a min-heap on completion cycle of issued register writers
+	// whose results are not yet available, preallocated to the ring size
+	// (at most one entry per in-flight instruction).
+	wakeQ []completion
 
 	// fetchQ holds fetched, not yet dispatched instructions.
-	fetchQ  []robEntry
+	fetchQ  []DynInst
 	fqHead  int
 	fqCount int
 
 	iqCount  int // dispatched, not yet issued
 	lsqCount int // memory ops dispatched, not yet committed
+
+	// stores holds the seqs of in-flight stores oldest-first, in a ring
+	// the size of the ROB's: the only entries load disambiguation needs
+	// to look at.
+	stores  []int64
+	stHead  int
+	stCount int
 
 	lastWriter [64]int64 // register -> seq of most recent in-flight writer, -1 none
 
@@ -274,7 +307,11 @@ func NewCore(cfg CoreConfig, emu *Emu, hier *mem.Hierarchy, pred *branch.Predict
 
 		rob:       make([]robEntry, robCap),
 		robMask:   int64(robCap - 1),
-		fetchQ:    make([]robEntry, cfg.FetchQueue),
+		ready:     make([]uint64, (robCap+63)/64),
+		readySpan: int64(min(robCap, 64)),
+		wakeQ:     make([]completion, 0, robCap),
+		stores:    make([]int64, robCap),
+		fetchQ:    make([]DynInst, cfg.FetchQueue),
 		fuIntALU:  make([]uint64, cfg.IntALUs),
 		fuIntMult: make([]uint64, cfg.IntMultUnits),
 		fuFPALU:   make([]uint64, cfg.FPALUs),
@@ -317,14 +354,105 @@ func (c *Core) robAt(seq int64) *robEntry {
 
 func (c *Core) robCount() int { return int(c.nextSeq - c.headSeq) }
 
-// depReady reports whether the operand produced by seq is available at the
-// current cycle.
-func (c *Core) depReady(seq int64) bool {
-	if seq < c.headSeq {
-		return true // producer committed; value in the register file
+// setReady adds seq to the ready set.
+func (c *Core) setReady(seq int64) {
+	slot := seq & c.robMask
+	c.ready[slot>>6] |= 1 << (slot & 63)
+	c.readyCount++
+}
+
+// nextReady returns the oldest ready seq at or after s, or nextSeq when
+// there is none. Bits of a word above s's slot can only hold younger
+// entries or, once the scan has wrapped into the head's word, older ones
+// already passed; the latter map past nextSeq and end the scan.
+func (c *Core) nextReady(s int64) int64 {
+	for s < c.nextSeq {
+		slot := s & c.robMask
+		bit := slot & 63
+		if w := c.ready[slot>>6] >> bit; w != 0 {
+			return min(s+int64(bits.TrailingZeros64(w)), c.nextSeq)
+		}
+		s += c.readySpan - bit
 	}
-	e := c.robAt(seq)
-	return e.done && e.doneCycle <= c.cycle
+	return c.nextSeq
+}
+
+// markIssued records that e issued this cycle with its result available
+// at done: it leaves the issue queue and the ready set, and a register
+// writer wakes its consumers — at once when the result is already
+// available (an eliminated trivial computation), else when done arrives.
+func (c *Core) markIssued(e *robEntry, done uint64) {
+	e.issued = true
+	e.doneCycle = done
+	c.iqCount--
+	slot := e.seq & c.robMask
+	c.ready[slot>>6] &^= 1 << (slot & 63)
+	c.readyCount--
+	if !e.writes {
+		return
+	}
+	if done <= c.cycle {
+		c.wake(e)
+		return
+	}
+	// Push onto the completion heap (capacity is preallocated).
+	h := append(c.wakeQ, completion{})
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p].at <= done {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = completion{at: done, slot: int32(slot)}
+	c.wakeQ = h
+}
+
+// wake delivers p's result to every consumer waiting on it.
+func (c *Core) wake(p *robEntry) {
+	for l := p.consumers; l >= 0; {
+		e := &c.rob[l>>1]
+		l = e.next[l&1]
+		e.pending--
+		if e.pending == 0 {
+			c.setReady(e.seq)
+		}
+	}
+	p.consumers = -1
+}
+
+// completeDue pops every completion due by the current cycle and wakes
+// its consumers. It runs before select, so a result available at cycle t
+// can be consumed by an instruction issuing at t, as a producer whose
+// doneCycle has arrived always could.
+func (c *Core) completeDue() {
+	h := c.wakeQ
+	for len(h) > 0 && h[0].at <= c.cycle {
+		c.wake(&c.rob[h[0].slot])
+		last := h[len(h)-1]
+		h = h[:len(h)-1]
+		n, i := len(h), 0
+		for {
+			l := 2*i + 1
+			if l >= n {
+				break
+			}
+			if r := l + 1; r < n && h[r].at < h[l].at {
+				l = r
+			}
+			if h[l].at >= last.at {
+				break
+			}
+			h[i] = h[l]
+			i = l
+		}
+		if n > 0 {
+			h[i] = last
+		}
+	}
+	c.wakeQ = h
 }
 
 // freeUnit finds a functional unit free this cycle and marks it busy for
@@ -389,7 +517,7 @@ func nonPipelined(op isa.Op) bool {
 func (c *Core) commit() {
 	for n := 0; n < c.cfg.CommitWidth && c.headSeq < c.nextSeq && c.Stats.Committed < c.runTarget; n++ {
 		e := c.robAt(c.headSeq)
-		if !e.done || e.doneCycle > c.cycle {
+		if !e.issued || e.doneCycle > c.cycle {
 			return
 		}
 		if e.di.Class == isa.ClassStore {
@@ -399,6 +527,8 @@ func (c *Core) commit() {
 				return
 			}
 			c.hier.AccessD(e.di.Addr, true)
+			c.stHead = (c.stHead + 1) & int(c.robMask)
+			c.stCount--
 		}
 		if e.di.Class == isa.ClassLoad || e.di.Class == isa.ClassStore {
 			c.lsqCount--
@@ -433,46 +563,29 @@ func writesReg(di *DynInst) isa.Reg {
 	return w
 }
 
-// issue selects up to IssueWidth ready instructions oldest-first.
+// issue wakes the consumers of results due this cycle, then selects up to
+// IssueWidth ready instructions oldest-first. An eliminated trivial
+// computation wakes its consumers during the select, and being younger
+// they are still reached in the same cycle.
 func (c *Core) issue() {
-	if c.issueScan < c.headSeq {
-		c.issueScan = c.headSeq
-	}
-	for c.issueScan < c.nextSeq && c.robAt(c.issueScan).issued {
-		c.issueScan++
-	}
+	c.completeDue()
 	issued := 0
-	for seq := c.issueScan; seq < c.nextSeq && issued < c.cfg.IssueWidth; seq++ {
+	for seq := c.nextReady(c.headSeq); seq < c.nextSeq && issued < c.cfg.IssueWidth; seq = c.nextReady(seq + 1) {
 		e := c.robAt(seq)
-		if e.issued {
-			continue
-		}
-		if !(e.depA == -1 || c.depReady(e.depA)) || !(e.depB == -1 || c.depReady(e.depB)) {
-			continue
-		}
 		switch e.di.Class {
 		case isa.ClassLoad:
 			if !c.issueLoad(e) {
 				continue
 			}
 		case isa.ClassNop:
-			e.issued = true
-			e.done = true
-			e.doneCycle = c.cycle + 1
-			c.iqCount--
-			issued++
-			continue
+			c.markIssued(e, c.cycle+1)
 		default:
 			lat, pool, eliminated := c.execLatency(e)
 			if eliminated {
-				e.issued = true
-				e.done = true
-				e.doneCycle = c.cycle // bypassed: result known immediately
+				c.markIssued(e, c.cycle) // bypassed: result known immediately
 				c.Stats.TrivialEliminated++
-				c.iqCount--
-				issued++
 				c.resolveBranchWait(e)
-				continue
+				break
 			}
 			busy := 1
 			if nonPipelined(e.di.Op) && lat > 1 {
@@ -484,16 +597,9 @@ func (c *Core) issue() {
 			if c.cfg.TC != TCOff && e.di.Trivial != isa.NotTrivial {
 				c.Stats.TrivialSimplified++
 			}
-			e.issued = true
-			e.done = true
-			e.doneCycle = c.cycle + uint64(lat)
-			c.iqCount--
-			issued++
+			c.markIssued(e, c.cycle+uint64(lat))
 			c.resolveBranchWait(e)
-			continue
 		}
-		// Loads reach here after successful issueLoad.
-		c.iqCount--
 		issued++
 	}
 }
@@ -505,22 +611,23 @@ func (c *Core) issueLoad(e *robEntry) bool {
 	// functional stream): only older stores to the same word matter.
 	word := e.di.Addr >> 3
 	var forwardFrom *robEntry
-	for s := e.seq - 1; s >= c.headSeq; s-- {
-		p := c.robAt(s)
-		if p.di.Class == isa.ClassStore && p.di.Addr>>3 == word {
+	for i := c.stCount - 1; i >= 0; i-- {
+		s := c.stores[(c.stHead+i)&int(c.robMask)]
+		if s > e.seq {
+			continue // younger than the load
+		}
+		if p := c.robAt(s); p.di.Addr>>3 == word {
 			forwardFrom = p
 			break
 		}
 	}
 	if forwardFrom != nil {
 		// The youngest older store to this word must have produced its data.
-		if !forwardFrom.done || forwardFrom.doneCycle > c.cycle {
+		if !forwardFrom.issued || forwardFrom.doneCycle > c.cycle {
 			return false
 		}
-		e.issued = true
-		e.done = true
-		e.doneCycle = c.cycle + uint64(c.cfg.StoreForward)
 		e.level = mem.LevelL1
+		c.markIssued(e, c.cycle+uint64(c.cfg.StoreForward))
 		c.Stats.LoadsForwarded++
 		return true
 	}
@@ -528,10 +635,8 @@ func (c *Core) issueLoad(e *robEntry) bool {
 		return false
 	}
 	lat, level := c.hier.AccessDLevel(e.di.Addr, false)
-	e.issued = true
-	e.done = true
-	e.doneCycle = c.cycle + uint64(lat)
 	e.level = level
+	c.markIssued(e, c.cycle+uint64(lat))
 	return true
 }
 
@@ -559,7 +664,7 @@ func (c *Core) dispatch() {
 			return
 		}
 		fe := &c.fetchQ[c.fqHead]
-		isMem := fe.di.Class == isa.ClassLoad || fe.di.Class == isa.ClassStore
+		isMem := fe.Class == isa.ClassLoad || fe.Class == isa.ClassStore
 		if isMem && c.lsqCount >= c.cfg.LSQEntries {
 			c.Stats.LSQFullStalls++
 			return
@@ -567,22 +672,20 @@ func (c *Core) dispatch() {
 
 		seq := c.nextSeq
 		e := c.robAt(seq)
-		*e = robEntry{di: fe.di, seq: seq, depA: -1, depB: -1}
+		*e = robEntry{di: *fe, seq: seq, depA: -1, depB: -1, consumers: -1}
 
-		// Record data dependences on in-flight producers. The operand
-		// shape (which sources are register reads) is pre-decoded.
-		dep := func(r isa.Reg) int64 {
-			if r == isa.RegNone || r == 0 { // R0 always ready
-				return -1
-			}
-			return c.lastWriter[r]
-		}
+		// Record data dependences on in-flight producers and wait on those
+		// whose results are not yet available. The operand shape (which
+		// sources are register reads) is pre-decoded.
 		d := &c.dec[e.di.PC]
 		if d.readsA {
-			e.depA = dep(e.di.SrcA)
+			e.depA = c.waitOn(e, 0, e.di.SrcA)
 		}
 		if d.readsB {
-			e.depB = dep(e.di.SrcB)
+			e.depB = c.waitOn(e, 1, e.di.SrcB)
+		}
+		if e.pending == 0 {
+			c.setReady(seq)
 		}
 
 		if c.cfg.TC != TCOff && e.di.Trivial != isa.NotTrivial {
@@ -590,15 +693,43 @@ func (c *Core) dispatch() {
 		}
 		if w := writesReg(&e.di); w != isa.RegNone {
 			c.lastWriter[w] = seq
+			e.writes = true
 		}
 		if isMem {
 			c.lsqCount++
+		}
+		if e.di.Class == isa.ClassStore {
+			c.stores[(c.stHead+c.stCount)&int(c.robMask)] = seq
+			c.stCount++
 		}
 		c.iqCount++
 		c.nextSeq++
 		c.fqHead = (c.fqHead + 1) % len(c.fetchQ)
 		c.fqCount--
 	}
+}
+
+// waitOn resolves operand op (0 for A, 1 for B) of the entry being
+// dispatched, which reads register r, to its in-flight producer and
+// returns the producer's seq (-1 when the value is in the register file).
+// A producer whose result is not yet available gets e on its consumer
+// list, and e one more pending operand.
+func (c *Core) waitOn(e *robEntry, op int32, r isa.Reg) int64 {
+	if r == isa.RegNone || r == 0 { // R0 always ready
+		return -1
+	}
+	dep := c.lastWriter[r]
+	if dep == -1 {
+		return -1
+	}
+	p := c.robAt(dep)
+	if p.issued && p.doneCycle <= c.cycle {
+		return dep
+	}
+	e.next[op] = p.consumers
+	p.consumers = int32(e.seq&c.robMask)<<1 | op
+	e.pending++
+	return dep
 }
 
 // fetch pulls instructions from the functional emulator through the I-cache
@@ -634,14 +765,12 @@ func (c *Core) fetch() {
 			}
 		}
 
-		slot := &c.fetchQ[(c.fqHead+c.fqCount)%len(c.fetchQ)]
-		if !c.src.Step(&slot.di) {
+		di := &c.fetchQ[(c.fqHead+c.fqCount)%len(c.fetchQ)]
+		if !c.src.Step(di) {
 			c.traceDone = true
 			return
 		}
-		slot.seq = 0 // assigned at dispatch
 		c.fqCount++
-		di := &slot.di
 
 		if di.Op == isa.HALT {
 			c.traceDone = true
@@ -715,8 +844,12 @@ func (c *Core) stallOnBranch(seq int64, refill uint64) {
 	c.pendingRefill = refill
 }
 
-// step advances the machine one cycle.
+// step advances the machine one cycle, first skipping any idle cycles
+// before it.
 func (c *Core) step() {
+	if c.readyCount == 0 {
+		c.skipIdle()
+	}
 	committedBefore := c.Stats.Committed
 	c.commit()
 	c.issue()
@@ -730,21 +863,87 @@ func (c *Core) step() {
 	}
 }
 
+// skipIdle advances the clock over cycles in which no pipeline stage can
+// act: nothing is ready to issue or due to complete, the head cannot
+// commit, dispatch is blocked and fetch is stalled, finished or has a full
+// queue. Such cycles change nothing but the clock and the counters below,
+// so the machine jumps to the next event — the earliest completion, the
+// head's completion or the end of a fetch stall — charging each skipped
+// cycle exactly as an executed idle step would: to Cycles, to the CPI
+// component attributeCycle picks, to FetchStallCycles while fetch is
+// stalled and to the counter of the structure blocking dispatch.
+//
+// It runs at the start of a step, never at the end: a run that stops at
+// its commit target leaves the idle cycles after it to the next window,
+// exactly where executed steps would put them.
+func (c *Core) skipIdle() {
+	var blocked *uint64
+	if c.fqCount > 0 {
+		switch fe := &c.fetchQ[c.fqHead]; {
+		case c.robCount() >= c.cfg.ROBEntries:
+			blocked = &c.Stats.ROBFullStalls
+		case c.iqCount >= c.cfg.IQEntries:
+			blocked = &c.Stats.IQFullStalls
+		case (fe.Class == isa.ClassLoad || fe.Class == isa.ClassStore) && c.lsqCount >= c.cfg.LSQEntries:
+			blocked = &c.Stats.LSQFullStalls
+		default:
+			return // dispatch can act
+		}
+	}
+	fetchStalled := false
+	if !c.traceDone {
+		fetchStalled = c.waitBranchSeq != -1 || c.cycle < c.fetchResume
+		if !fetchStalled && c.fqCount < len(c.fetchQ) {
+			return // fetch can act
+		}
+	}
+	next := ^uint64(0)
+	if c.fetchResume > c.cycle {
+		next = c.fetchResume
+	}
+	if len(c.wakeQ) > 0 {
+		next = min(next, c.wakeQ[0].at)
+	}
+	if c.headSeq < c.nextSeq {
+		if h := c.robAt(c.headSeq); h.issued {
+			next = min(next, h.doneCycle)
+		}
+	}
+	if next <= c.cycle || next == ^uint64(0) {
+		return // a result or the head is due now, or nothing is pending
+	}
+	k := next - c.cycle
+	c.Stats.CycleStack[c.stallComponent()] += k
+	c.Stats.Cycles += k
+	if fetchStalled {
+		c.Stats.FetchStallCycles += k
+	}
+	if blocked != nil {
+		*blocked += k
+	}
+	c.cycle = next
+}
+
 // attributeCycle charges the cycle that just executed to exactly one
 // CPI-stack component — the conservation invariant sum(CycleStack) ==
-// Cycles holds by construction. The priority order follows the classic
-// interval model: a cycle that committed anything is base work; otherwise
-// the oldest in-flight instruction names the bottleneck (an executing
-// head load by its serving memory level, a waiting head by its executing
+// Cycles holds by construction. A cycle that committed anything is base
+// work; any other is charged by stallComponent.
+func (c *Core) attributeCycle(committedBefore uint64) {
+	if c.Stats.Committed > committedBefore {
+		c.Stats.CycleStack[CPIBase]++
+		return
+	}
+	c.Stats.CycleStack[c.stallComponent()]++
+}
+
+// stallComponent names the CPI-stack component of a cycle that committed
+// nothing. The priority order follows the classic interval model: the
+// oldest in-flight instruction names the bottleneck (an executing head
+// load by its serving memory level, a waiting head by its executing
 // producer, a ready-but-blocked head as structural contention); an empty
 // window is the frontend's fault (branch recovery, I-cache refill, or
 // plain fetch starvation).
-func (c *Core) attributeCycle(committedBefore uint64) {
-	st := &c.Stats
-	if st.Committed > committedBefore {
-		st.CycleStack[CPIBase]++
-		return
-	}
+func (c *Core) stallComponent() CPIComponent {
 	if c.headSeq < c.nextSeq {
 		e := c.robAt(c.headSeq)
 		if !e.issued {
@@ -752,36 +951,29 @@ func (c *Core) attributeCycle(committedBefore uint64) {
 			// Charge an executing producer when one exists (a load by its
 			// serving level); otherwise the stall is structural.
 			if comp, ok := c.producerComponent(e); ok {
-				st.CycleStack[comp]++
-			} else {
-				st.CycleStack[CPIStructural]++
+				return comp
 			}
-			return
+			return CPIStructural
 		}
 		if e.doneCycle > c.cycle {
 			// Head is executing.
 			if e.di.Class == isa.ClassLoad {
-				st.CycleStack[loadComponent(e.level)]++
-			} else {
-				st.CycleStack[CPIBase]++
+				return loadComponent(e.level)
 			}
-			return
+			return CPIBase
 		}
 		// Head completed but could not commit: the store port was busy or
 		// the run target throttled commit this cycle.
-		st.CycleStack[CPIStructural]++
-		return
+		return CPIStructural
 	}
 	// Empty window: the backend is starved by the frontend.
 	if c.waitBranchSeq != -1 {
-		st.CycleStack[CPIBranch]++
-		return
+		return CPIBranch
 	}
 	if c.cycle < c.fetchResume {
-		st.CycleStack[c.frontRefill]++
-		return
+		return c.frontRefill
 	}
-	st.CycleStack[CPIFrontend]++
+	return CPIFrontend
 }
 
 // producerComponent finds an in-flight producer of e still executing and

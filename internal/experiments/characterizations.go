@@ -56,13 +56,13 @@ func ProfileCharacterization(o *Options, alpha float64) ([]ProfileCharRow, error
 				}
 				continue
 			}
-			o.Report().Completed()
 			if _, ok := tech.(core.Reduced); ok {
 				// A reduced input runs different code volumes; its profile
 				// is over the same static program only when code images
 				// match, which they do not in general — compare coverage
 				// only, with the chi-squared fields marked dissimilar, as
 				// the paper treats reduced inputs as different programs.
+				o.Report().Completed()
 				rows = append(rows, ProfileCharRow{
 					Bench: b, Technique: tech.Name(), Family: tech.Family(),
 					BBEFValue: -1, BBVValue: -1,
@@ -70,10 +70,17 @@ func ProfileCharacterization(o *Options, alpha float64) ([]ProfileCharRow, error
 				})
 				continue
 			}
+			// A technique whose window measured nothing has an empty
+			// profile: its cell fails like a failed run.
 			pr, err := characterize.Profile(ref.Profile, res.Profile, alpha)
 			if err != nil {
-				return nil, fmt.Errorf("experiments: profile of %s on %s: %w", tech.Name(), b, err)
+				err = fmt.Errorf("experiments: profile of %s on %s: %w", tech.Name(), b, err)
+				if aerr := o.cellErr("PROFILE", b, tech.Name(), cfg.Name, err); aerr != nil {
+					return nil, aerr
+				}
+				continue
 			}
+			o.Report().Completed()
 			rows = append(rows, ProfileCharRow{
 				Bench: b, Technique: tech.Name(), Family: tech.Family(),
 				BBEFValue: pr.BBEF.Statistic, BBVValue: pr.BBV.Statistic,
@@ -223,7 +230,11 @@ func CPIAttribution(o *Options) ([]CPIAttrRow, error) {
 			}
 			attr, err := characterize.Attribute(ref.Stats, res.Stats)
 			if err != nil {
-				return nil, fmt.Errorf("experiments: attribution of %s on %s: %w", tech.Name(), b, err)
+				err = fmt.Errorf("experiments: attribution of %s on %s: %w", tech.Name(), b, err)
+				if aerr := o.cellErr("ATTR", b, tech.Name(), cfg.Name, err); aerr != nil {
+					return nil, aerr
+				}
+				continue
 			}
 			o.Report().Completed()
 			row := CPIAttrRow{

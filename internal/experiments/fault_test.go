@@ -342,6 +342,55 @@ func TestFigurePartialResults(t *testing.T) {
 	}
 }
 
+// TestEmptyWindowCellsFailInProfileAndAttr: vpr-route is shorter than the
+// two longest fast-forwards, so their windows measure nothing. PROFILE and
+// ATTR record those cells as failed and finish, instead of aborting the
+// whole artifact on the first empty profile or CPI stack.
+func TestEmptyWindowCellsFailInProfileAndAttr(t *testing.T) {
+	empty := []core.Technique{
+		core.FFRun{X: 4000, Z: 1000},
+		core.FFWURun{X: 3900, Y: 100, Z: 1000},
+	}
+	options := func() *Options {
+		o := DefaultOptions()
+		o.Scale = sim.ScaleTest
+		o.Benches = []bench.Name{bench.VprRoute}
+		o.TechniquesFn = func(bench.Name) []core.Technique { return empty }
+		return o
+	}
+	check := func(artifact string, rows int, o *Options) {
+		t.Helper()
+		if rows != 0 {
+			t.Errorf("%s: %d rows from empty windows, want 0", artifact, rows)
+		}
+		cells := o.Report().Cells()
+		if len(cells) != len(empty) {
+			t.Fatalf("%s: report cells = %+v, want the %d empty-window cells", artifact, cells, len(empty))
+		}
+		for i, c := range cells {
+			if c.Artifact != artifact || c.Technique != empty[i].Name() || c.Status != CellFailed {
+				t.Errorf("%s: cell %d = %+v, want %s failed", artifact, i, c, empty[i].Name())
+			}
+		}
+	}
+
+	po := options()
+	defer po.Close()
+	prows, err := ProfileCharacterization(po, 0.05)
+	if err != nil {
+		t.Fatalf("PROFILE aborted instead of recording failed cells: %v", err)
+	}
+	check("PROFILE", len(prows), po)
+
+	ao := options()
+	defer ao.Close()
+	arows, err := CPIAttribution(ao)
+	if err != nil {
+		t.Fatalf("ATTR aborted instead of recording failed cells: %v", err)
+	}
+	check("ATTR", len(arows), ao)
+}
+
 // TestOptionsCancelledSweep: a cancelled sweep context aborts a driver even
 // in degrade mode — there is no point recording every remaining cell as
 // failed when the whole campaign is being torn down.

@@ -195,39 +195,66 @@ func BuildPlan(prog *program.Program, cfg Config) (*Plan, error) {
 	return plan, nil
 }
 
-// planCache memoizes plans per program identity and configuration.
-var planCache sync.Map // cacheKey -> *Plan
+// plans memoizes plans per program image and configuration. Concurrent
+// callers of one key wait for a single build (single flight); a build
+// that fails is forgotten, so a later caller retries it.
+var plans struct {
+	mu    sync.Mutex
+	calls map[planKey]*planCall
+}
 
-type cacheKey struct {
-	prog     string
-	interval uint64
-	maxK     int
-	seeds    int
+// planKey identifies a plan: the program image (program.Fingerprint, so
+// two programs that share a name and code length but differ in code or
+// data never share a plan) and every setting that shapes the clustering.
+type planKey struct {
+	prog uint64
+	cfg  Config
+}
+
+// planCall is one plan build; done closes when plan and err are final.
+type planCall struct {
+	done chan struct{}
+	plan *Plan
+	err  error
 }
 
 // PlanFor returns a cached plan for the program, building it on first use.
-// Program names include the benchmark, input set and (via length) scale, so
-// the name is a sound cache key alongside the code length.
+// Callers that arrive while the plan is being built wait for that build
+// and share its result.
 func PlanFor(prog *program.Program, cfg Config) (*Plan, error) {
-	key := cacheKey{
-		prog:     fmt.Sprintf("%s/%d", prog.Name, len(prog.Code)),
-		interval: cfg.IntervalInstr,
-		maxK:     cfg.MaxK,
-		seeds:    cfg.Seeds,
+	key := planKey{prog: prog.Fingerprint(), cfg: cfg}
+	plans.mu.Lock()
+	if c, ok := plans.calls[key]; ok {
+		plans.mu.Unlock()
+		<-c.done
+		return c.plan, c.err
 	}
-	if v, ok := planCache.Load(key); ok {
-		return v.(*Plan), nil
+	if plans.calls == nil {
+		plans.calls = make(map[planKey]*planCall)
 	}
-	p, err := BuildPlan(prog, cfg)
-	if err != nil {
-		return nil, err
-	}
-	planCache.Store(key, p)
-	return p, nil
+	c := &planCall{done: make(chan struct{}), err: fmt.Errorf("simpoint: plan build for %s panicked", prog.Name)}
+	plans.calls[key] = c
+	plans.mu.Unlock()
+
+	defer func() {
+		if c.plan == nil {
+			plans.mu.Lock()
+			if plans.calls[key] == c {
+				delete(plans.calls, key)
+			}
+			plans.mu.Unlock()
+		}
+		close(c.done)
+	}()
+	c.plan, c.err = BuildPlan(prog, cfg)
+	return c.plan, c.err
 }
 
-// ResetCache clears the memoized plans (tests use this to measure cold
-// costs).
+// ResetCache forgets every memoized plan and every build in flight (tests
+// and benchmarks use this to measure cold costs). Builds already running
+// still deliver their plan to the callers waiting on them.
 func ResetCache() {
-	planCache = sync.Map{}
+	plans.mu.Lock()
+	plans.calls = nil
+	plans.mu.Unlock()
 }

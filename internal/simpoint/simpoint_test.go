@@ -1,6 +1,7 @@
 package simpoint
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/isa"
@@ -128,6 +129,66 @@ func TestPlanForCaches(t *testing.T) {
 	}
 	if c == a {
 		t.Error("different interval hit the same cache entry")
+	}
+}
+
+// TestPlanForSingleFlight: callers that ask for the same plan at the same
+// time wait for one build and all receive the same plan.
+func TestPlanForSingleFlight(t *testing.T) {
+	ResetCache()
+	p := phasedProgram(t, 5000)
+	cfg := testConfig(2000, 5)
+	const callers = 8
+	start := make(chan struct{})
+	got := make([]*Plan, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			plan, err := PlanFor(p, cfg)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = plan
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, plan := range got {
+		if plan == nil || plan != got[0] {
+			t.Fatalf("caller %d got plan %p, caller 0 got %p: the plan was built more than once", i, plan, got[0])
+		}
+	}
+	ResetCache()
+	again, err := PlanFor(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again == got[0] {
+		t.Error("ResetCache kept the memoized plan")
+	}
+}
+
+// TestPlanForKeysByImage: two programs with the same name and code length
+// but different data are different programs and get different plans.
+func TestPlanForKeysByImage(t *testing.T) {
+	ResetCache()
+	a, b := phasedProgram(t, 5000), phasedProgram(t, 6000)
+	if a.Name != b.Name || len(a.Code) != len(b.Code) {
+		t.Fatal("test programs must share name and code length")
+	}
+	pa, err := PlanFor(a, testConfig(2000, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb, err := PlanFor(b, testConfig(2000, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pa == pb {
+		t.Error("programs with different images shared a plan")
 	}
 }
 
