@@ -6,7 +6,7 @@ import (
 )
 
 // TraceFlags is the record-once/replay-many flag surface shared by the
-// sweep CLIs (figures, svat, characterize, benchjson): whether the shared
+// sweep CLIs (figures, svat, characterize): whether the shared
 // functional-trace store is enabled and how many resident bytes it may
 // hold. Register with AddTraceFlags, Validate after parsing, and hand the
 // values to experiments.Options.TraceMode / TraceBudget.

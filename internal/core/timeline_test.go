@@ -121,38 +121,6 @@ func TestTimelineThroughTechniques(t *testing.T) {
 	}
 }
 
-// TestTimelineInvariantAcrossFastPaths: the samples are a pure function of
-// the deterministic cycle stream, so the memory fast-path toggle cannot
-// move, add, or change a single one.
-func TestTimelineInvariantAcrossFastPaths(t *testing.T) {
-	prev := TraceStore()
-	SetTraceStore(nil)
-	defer SetTraceStore(prev)
-
-	ctx := timelineCtx(bench.Gzip)
-	tech := SMARTS{U: 1000, W: 2000} // heaviest functional-warming user
-	var plain, fast Result
-	var err error
-	withMemFastPaths(t, false, func() {
-		plain, err = tech.Run(ctx)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	withMemFastPaths(t, true, func() {
-		fast, err = tech.Run(ctx)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain.Timeline) == 0 {
-		t.Fatal("no samples recorded")
-	}
-	if !reflect.DeepEqual(plain.Timeline, fast.Timeline) {
-		t.Errorf("fast paths changed the timeline: %d vs %d samples", len(plain.Timeline), len(fast.Timeline))
-	}
-}
-
 // TestTimelineInvariantAcrossTraceReplay: a replayed functional stream
 // feeds the detailed core the identical instructions, so recorded,
 // replayed, and store-off runs produce byte-identical timelines.

@@ -51,14 +51,10 @@ type warmDigest struct {
 	ras  *branch.RAS
 }
 
-// runWarmChunks warms through the given chunk schedule with batching
-// forced on or off, from either the emulator or a recorded replay of it.
-func runWarmChunks(t testing.TB, p *program.Program, batched, replay bool, chunks []uint64) warmDigest {
+// runWarmChunks warms through the given chunk schedule, from either the
+// emulator or a recorded replay of it.
+func runWarmChunks(t testing.TB, p *program.Program, replay bool, chunks []uint64) warmDigest {
 	t.Helper()
-	prev := BatchedWarmEnabled()
-	EnableBatchedWarm(batched)
-	defer EnableBatchedWarm(prev)
-
 	w := warmStructures(t)
 	var done uint64
 	if replay {
@@ -78,40 +74,41 @@ func runWarmChunks(t testing.TB, p *program.Program, batched, replay bool, chunk
 	return warmDigest{done: done, snap: w.Hier.Snap(), pred: w.Pred, btb: w.BTB, ras: w.RAS}
 }
 
-// TestBatchedWarmEquivalence: the slab-batched warm loops must leave the
-// hierarchy AND the branch structures in exactly the state the
-// per-instruction loop produces — for emulated and replayed streams, for
-// chunk schedules that split batches at odd boundaries, and across a halt.
+// TestBatchedWarmEquivalence: functional warming is a function of the
+// retired stream alone. Emulated in one call, emulated through chunk
+// schedules that split the stream at odd boundaries, and replayed from a
+// trace under every schedule, the warm loops must leave the hierarchy AND
+// the branch structures in exactly the same state, across a halt.
 func TestBatchedWarmEquivalence(t *testing.T) {
 	progs := map[string]*program.Program{
-		"sum": sumProgram(t, 500), // halts inside a batch
+		"sum": sumProgram(t, 500), // halts mid-schedule
 		"fp":  fpProgram(t, 100),
 	}
 	schedules := [][]uint64{
 		{1 << 20},                  // run to halt in one call
 		{1, 7, 300, 1000, 1 << 20}, // odd chunk boundaries
-		{255, 256, 257, 1 << 20},   // straddle the batch size exactly
+		{255, 256, 257, 1 << 20},   // near-equal chunks
 	}
 	for name, p := range progs {
+		want := runWarmChunks(t, p, false, schedules[0])
 		for si, chunks := range schedules {
 			for _, replay := range []bool{false, true} {
-				plain := runWarmChunks(t, p, false, replay, chunks)
-				batch := runWarmChunks(t, p, true, replay, chunks)
-				if plain.done != batch.done {
-					t.Fatalf("%s/sched%d/replay=%v: batched warmed %d instructions, plain %d",
-						name, si, replay, batch.done, plain.done)
+				got := runWarmChunks(t, p, replay, chunks)
+				if got.done != want.done {
+					t.Fatalf("%s/sched%d/replay=%v: warmed %d instructions, one emulated call %d",
+						name, si, replay, got.done, want.done)
 				}
-				if !reflect.DeepEqual(plain.snap, batch.snap) {
-					t.Errorf("%s/sched%d/replay=%v: hierarchy state diverges:\nplain: %+v\nbatch: %+v",
-						name, si, replay, plain.snap, batch.snap)
+				if !reflect.DeepEqual(got.snap, want.snap) {
+					t.Errorf("%s/sched%d/replay=%v: hierarchy state diverges:\ngot:  %+v\nwant: %+v",
+						name, si, replay, got.snap, want.snap)
 				}
-				if !reflect.DeepEqual(plain.pred, batch.pred) {
+				if !reflect.DeepEqual(got.pred, want.pred) {
 					t.Errorf("%s/sched%d/replay=%v: predictor state diverges", name, si, replay)
 				}
-				if !reflect.DeepEqual(plain.btb, batch.btb) {
+				if !reflect.DeepEqual(got.btb, want.btb) {
 					t.Errorf("%s/sched%d/replay=%v: BTB state diverges", name, si, replay)
 				}
-				if !reflect.DeepEqual(plain.ras, batch.ras) {
+				if !reflect.DeepEqual(got.ras, want.ras) {
 					t.Errorf("%s/sched%d/replay=%v: RAS state diverges", name, si, replay)
 				}
 			}

@@ -79,8 +79,8 @@ const DefaultTimelineCapacity = 4096
 // TimelineSample is one fixed-stride interval record. Every field is an
 // integer delta over the interval (rates are derived at export time), so
 // samples are a pure function of the deterministic cycle stream: the same
-// cell produces byte-identical samples at any worker count and across the
-// trace-replay, checkpoint, and memory fast-path toggles.
+// cell produces byte-identical samples at any worker count, replayed or
+// emulated, restored from a checkpoint or fast-forwarded.
 type TimelineSample struct {
 	// At is the core's cumulative committed-instruction count when the
 	// sample was taken (detailed instructions only; functional warming

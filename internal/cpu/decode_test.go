@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/isa"
-	"repro/internal/mem"
 	"repro/internal/program"
 )
 
@@ -71,22 +70,11 @@ func TestHotLoopsDoNotAllocate(t *testing.T) {
 		t.Errorf("Emu.RunProfile allocates %.1f times per call", a)
 	}
 
-	// The warm pins cover the batched loop (the default: the warm-up run
-	// AllocsPerRun performs absorbs the one-time request slab) and the
-	// per-instruction loop it must stay equivalent to.
-	if !BatchedWarmEnabled() || !mem.FastPathsEnabled() {
-		t.Fatal("batched warming and mem fast paths must default on")
-	}
 	we, wc := testMachine(t, p, defaultCoreConfig())
 	warmer := Warmer{Hier: wc.hier, Pred: wc.pred, BTB: wc.btb, RAS: wc.ras}
 	if a := testing.AllocsPerRun(10, func() { we.RunWarm(10000, warmer) }); a != 0 {
-		t.Errorf("Emu.RunWarm (batched) allocates %.1f times per call", a)
+		t.Errorf("Emu.RunWarm allocates %.1f times per call", a)
 	}
-	EnableBatchedWarm(false)
-	if a := testing.AllocsPerRun(10, func() { we.RunWarm(10000, warmer) }); a != 0 {
-		t.Errorf("Emu.RunWarm (per-instruction) allocates %.1f times per call", a)
-	}
-	EnableBatchedWarm(true)
 
 	_, core := testMachine(t, p, defaultCoreConfig())
 	if a := testing.AllocsPerRun(10, func() { core.Run(5000) }); a != 0 {
@@ -104,13 +92,8 @@ func TestHotLoopsDoNotAllocate(t *testing.T) {
 
 	wr := NewReplayer(NewEmu(p), recs)
 	if a := testing.AllocsPerRun(10, func() { wr.RunWarm(10000, warmer) }); a != 0 {
-		t.Errorf("Replayer.RunWarm (batched) allocates %.1f times per call", a)
+		t.Errorf("Replayer.RunWarm allocates %.1f times per call", a)
 	}
-	EnableBatchedWarm(false)
-	if a := testing.AllocsPerRun(10, func() { wr.RunWarm(10000, warmer) }); a != 0 {
-		t.Errorf("Replayer.RunWarm (per-instruction) allocates %.1f times per call", a)
-	}
-	EnableBatchedWarm(true)
 
 	pr := NewReplayer(NewEmu(p), recs)
 	rprof := NewProfile(p)

@@ -3,7 +3,6 @@ package cpu
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/branch"
 	"repro/internal/isa"
@@ -47,10 +46,6 @@ type Emu struct {
 	// single predictable branch (see TestHotLoopsDoNotAllocate).
 	recording bool
 	rec       []trace.Rec
-
-	// reqs is the warm loop's reusable request slab, allocated lazily on
-	// the first batched RunWarm and recycled for the emulator's lifetime.
-	reqs []mem.MemReq
 }
 
 // NewEmu creates an emulator with freshly initialized architectural state.
@@ -367,28 +362,6 @@ type Warmer struct {
 	RAS  *branch.RAS
 }
 
-// batchedWarm gates the slab-batched warm/replay loops (Emu.RunWarm and
-// Replayer.RunWarm stream fixed-size mem.MemReq batches through
-// Hierarchy.WarmBatch instead of calling WarmI/WarmD per instruction).
-// The toggle exists so the equivalence suite and cmd/benchjson's mem block
-// can run the identical stream down the per-instruction path and assert
-// the warmed state and statistics match exactly. Read once per Run call.
-var batchedWarm atomic.Bool
-
-func init() { batchedWarm.Store(true) }
-
-// EnableBatchedWarm toggles the batched warm/replay loops (default on).
-func EnableBatchedWarm(on bool) { batchedWarm.Store(on) }
-
-// BatchedWarmEnabled reports the current toggle.
-func BatchedWarmEnabled() bool { return batchedWarm.Load() }
-
-// warmBatchInstr is the batch granularity of the warm loops: enough
-// instructions that the slab amortizes loop and call overhead and the
-// hierarchy's scan state stays hot, small enough that the request slab
-// (≤ 2 requests per instruction) stays inside the L1 of any host.
-const warmBatchInstr = 256
-
 // warmBranch applies one retired branch's outcome to the prediction
 // structures. The caller has already established Class == ClassBranch.
 func warmBranch(w Warmer, op isa.Op, pc, next int32, taken bool) {
@@ -409,10 +382,9 @@ func warmBranch(w Warmer, op isa.Op, pc, next int32, taken bool) {
 	}
 }
 
-// warmInst applies one retired instruction to the warmed structures. It
-// is shared by the emulating and replaying warm loops so functional
-// warming is stream-equivalent across the two sources, and it is the
-// reference the batched loops are equivalent to.
+// warmInst applies one retired instruction to the warmed structures:
+// its fetch, then its data access, then its branch outcome. The replaying
+// warm loop applies a trace record in the same order.
 func warmInst(di *DynInst, w Warmer) {
 	if w.Hier != nil {
 		w.Hier.WarmI(di.FetchAddr())
@@ -429,58 +401,12 @@ func warmInst(di *DynInst, w Warmer) {
 
 // RunWarm executes up to n instructions while functionally warming caches,
 // TLBs and branch prediction state, as SMARTS does between detailed samples.
-//
-// With batching enabled, retired instructions accumulate hierarchy
-// requests into a slab that is streamed through Hierarchy.WarmBatch every
-// warmBatchInstr instructions. The warmed state is identical to the
-// per-instruction path: the hierarchy sees the same requests in the same
-// order, and the branch structures (updated inline, since they share no
-// state with the hierarchy) see the same stream too — only the
-// interleaving between the two independent groups changes.
 func (e *Emu) RunWarm(n uint64, w Warmer) uint64 {
-	if w.Hier == nil || !BatchedWarmEnabled() {
-		var di DynInst
-		var done uint64
-		for done < n && e.Step(&di) {
-			done++
-			warmInst(&di, w)
-		}
-		return done
-	}
-	if e.reqs == nil {
-		e.reqs = make([]mem.MemReq, 0, 2*warmBatchInstr)
-	}
 	var di DynInst
 	var done uint64
-	for done < n {
-		reqs := e.reqs[:0]
-		target := done + warmBatchInstr
-		if target > n {
-			target = n
-		}
-		stopped := false
-		for done < target {
-			if !e.Step(&di) {
-				stopped = true
-				break
-			}
-			done++
-			reqs = append(reqs, mem.MemReq{Addr: di.FetchAddr(), Kind: mem.ReqIFetch})
-			switch di.Class {
-			case isa.ClassLoad:
-				reqs = append(reqs, mem.MemReq{Addr: di.Addr, Kind: mem.ReqLoad})
-			case isa.ClassStore:
-				reqs = append(reqs, mem.MemReq{Addr: di.Addr, Kind: mem.ReqStore})
-			}
-			if di.Class == isa.ClassBranch {
-				warmBranch(w, di.Op, di.PC, di.Next, di.Taken)
-			}
-		}
-		w.Hier.WarmBatch(reqs)
-		e.reqs = reqs[:0]
-		if stopped {
-			break
-		}
+	for done < n && e.Step(&di) {
+		done++
+		warmInst(&di, w)
 	}
 	return done
 }

@@ -2,7 +2,6 @@ package cpu
 
 import (
 	"repro/internal/isa"
-	"repro/internal/mem"
 	"repro/internal/trace"
 )
 
@@ -34,10 +33,6 @@ type Replayer struct {
 	recs   []trace.Rec
 	i      int
 	halted bool
-
-	// reqs is the warm loop's reusable request slab, allocated lazily on
-	// the first batched RunWarm and recycled for the replayer's lifetime.
-	reqs []mem.MemReq
 }
 
 // NewReplayer builds a replay source over recs for the emulator's
@@ -100,55 +95,35 @@ func (r *Replayer) Remaining() uint64 {
 // RunWarm replays up to n instructions while functionally warming caches,
 // TLBs and branch prediction state — the replay twin of Emu.RunWarm.
 //
-// The batched path reads trace records directly (no per-instruction
-// template copy: warming needs only the class, op, and PC from the decode
-// table plus the record's address and outcome) and streams hierarchy
-// requests through Hierarchy.WarmBatch in warmBatchInstr-sized slabs. The
-// warmed state is identical to the per-instruction path for the same
-// reason as Emu.RunWarm: same requests in the same order per structure.
+// Warming needs only the class, op and PC from the decode table plus the
+// record's address and outcome, so the loop reads records directly, with
+// no per-instruction template copy, and applies each one in warmInst's
+// order: fetch, data access, branch outcome.
 func (r *Replayer) RunWarm(n uint64, w Warmer) uint64 {
-	if w.Hier == nil || !BatchedWarmEnabled() {
-		var di DynInst
-		var done uint64
-		for done < n && r.Step(&di) {
-			done++
-			warmInst(&di, w)
-		}
-		return done
-	}
-	if r.reqs == nil {
-		r.reqs = make([]mem.MemReq, 0, 2*warmBatchInstr)
-	}
 	var done uint64
 	for done < n && !r.halted {
-		reqs := r.reqs[:0]
-		target := done + warmBatchInstr
-		if target > n {
-			target = n
+		if r.i >= len(r.recs) {
+			panic("cpu: trace replay exhausted: recorded region does not cover the replayed window")
 		}
-		for done < target && !r.halted {
-			if r.i >= len(r.recs) {
-				panic("cpu: trace replay exhausted: recorded region does not cover the replayed window")
-			}
-			rec := r.recs[r.i]
-			r.i++
-			done++
-			t := &r.dec[rec.PC].tmpl
-			reqs = append(reqs, mem.MemReq{Addr: t.FetchAddr(), Kind: mem.ReqIFetch})
+		rec := r.recs[r.i]
+		r.i++
+		done++
+		t := &r.dec[rec.PC].tmpl
+		if w.Hier != nil {
+			w.Hier.WarmI(t.FetchAddr())
 			switch t.Class {
 			case isa.ClassLoad:
-				reqs = append(reqs, mem.MemReq{Addr: rec.Addr, Kind: mem.ReqLoad})
+				w.Hier.WarmD(rec.Addr, false)
 			case isa.ClassStore:
-				reqs = append(reqs, mem.MemReq{Addr: rec.Addr, Kind: mem.ReqStore})
-			case isa.ClassBranch:
-				warmBranch(w, t.Op, t.PC, rec.Next, rec.Taken())
-			}
-			if rec.Halt() {
-				r.halted = true
+				w.Hier.WarmD(rec.Addr, true)
 			}
 		}
-		w.Hier.WarmBatch(reqs)
-		r.reqs = reqs[:0]
+		if t.Class == isa.ClassBranch {
+			warmBranch(w, t.Op, t.PC, rec.Next, rec.Taken())
+		}
+		if rec.Halt() {
+			r.halted = true
+		}
 	}
 	return done
 }

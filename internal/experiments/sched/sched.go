@@ -269,7 +269,7 @@ type Telemetry struct {
 // idle host with enough cores it equals the wall-clock speedup over a
 // one-worker pool; on an oversubscribed host it overstates speedup,
 // because time-sliced cells accumulate wall time without finishing
-// sooner — measured serial-versus-parallel walls (cmd/benchjson) are
+// sooner — measured serial-versus-parallel walls of the same plan are
 // the honest speedup figure.
 func (t Telemetry) Concurrency() float64 {
 	if t.Wall <= 0 {

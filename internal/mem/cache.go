@@ -8,33 +8,12 @@
 // a short linear read, not a pointer hop per line struct), dirty bits live
 // in a bitset, and the hot paths carry semantics-preserving memos (a
 // last-block way memo per cache, a last-page deferred-stamp memo in the
-// TLB). Every memo is proven stat-identical to the plain path — see
-// EnableFastPaths and the equivalence suites in mem, cpu, and core.
+// TLB). Every memo is stat-identical to a plain way scan and a plain LRU
+// page map: TestGoldenStreams holds the engines to outcome digests those
+// plain engines produced.
 package mem
 
-import (
-	"fmt"
-	"sync/atomic"
-)
-
-// fastPaths gates the semantics-preserving hot-path shortcuts across the
-// package: the caches' last-block way memo and the TLB's open-addressed
-// layout with its deferred-stamp page memo. It exists so the equivalence
-// suites (and cmd/benchjson's mem block) can run the identical workload
-// down the plain path and assert the statistics match bit for bit.
-// Structures snapshot the flag at construction time, so toggling affects
-// machines built afterwards, never ones mid-run.
-var fastPaths atomic.Bool
-
-func init() { fastPaths.Store(true) }
-
-// EnableFastPaths toggles the package's hot-path shortcuts for structures
-// constructed afterwards. The default is on; tests and A/B measurements
-// turn it off to exercise the reference implementations.
-func EnableFastPaths(on bool) { fastPaths.Store(on) }
-
-// FastPathsEnabled reports the current toggle.
-func FastPathsEnabled() bool { return fastPaths.Load() }
+import "fmt"
 
 // Replacement selects a cache replacement policy.
 type Replacement uint8
@@ -151,7 +130,6 @@ type Cache struct {
 	// verification catches that, so no invalidation bookkeeping exists.
 	memoBlk uint64
 	memoIdx int32
-	fast    bool // snapshot of EnableFastPaths at construction
 
 	// AssumeHit implements the paper's SimPoint cold-start policy
 	// ("Warm-Up: assume cache hit"): while enabled, a miss whose victim
@@ -184,7 +162,6 @@ func NewCache(cfg CacheConfig, name string) (*Cache, error) {
 		blockShift: shift,
 		setMask:    uint64(sets - 1),
 		rngState:   0x9e3779b97f4a7c15,
-		fast:       FastPathsEnabled(),
 	}, nil
 }
 
@@ -248,7 +225,7 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, writeback bool, evict
 	c.Stats.Accesses++
 	c.clock++
 	blk := addr >> c.blockShift
-	if c.fast && blk+1 == c.memoBlk {
+	if blk+1 == c.memoBlk {
 		// Way memo: verified same-block hit without the set scan. The
 		// bookkeeping below is exactly the scan's hit path.
 		i := int(c.memoIdx)

@@ -6,46 +6,31 @@ import (
 	"testing"
 )
 
-// withFastPaths runs f with the package fast-path toggle forced to on,
-// restoring the previous setting afterwards. Structures snapshot the
-// toggle at construction, so f must build its own caches/TLBs.
-func withFastPaths(t *testing.T, on bool, f func()) {
-	t.Helper()
-	prev := FastPathsEnabled()
-	EnableFastPaths(on)
-	defer EnableFastPaths(prev)
-	f()
-}
-
 // TestCachePrefetchEvictedFirst is the regression test for the prefetch
 // stamp bug: a prefetched line must be inserted at LRU-friendly position
 // (strictly older than every live line), so a never-touched prefetch is
 // the next victim — not shielded behind an MRU stamp.
 func TestCachePrefetchEvictedFirst(t *testing.T) {
-	for _, fast := range []bool{false, true} {
-		withFastPaths(t, fast, func() {
-			// One 2-way set of 64B blocks: 128B cache. Blocks A, B, C, D
-			// all map to set 0.
-			c := mustCache(t, CacheConfig{SizeKB: 1, Assoc: 2, BlockBytes: 64, Latency: 1})
-			const setStride = 1 * 1024 // sets * blockBytes
-			a, b, d, x := uint64(0), uint64(setStride), uint64(2*setStride), uint64(3*setStride)
-			c.Access(a, false) // stamp 1
-			c.Access(b, false) // stamp 2
-			if !c.Prefetch(d) {
-				t.Fatal("prefetch of absent block should be useful")
-			}
-			// The prefetch evicted LRU line a and must now be older than b.
-			if c.Probe(a) {
-				t.Fatal("prefetch should have evicted the LRU line")
-			}
-			c.Access(x, false) // miss: victim must be the untouched prefetch
-			if !c.Probe(b) {
-				t.Error("demand miss evicted the demand-fetched line instead of the untouched prefetch")
-			}
-			if c.Probe(d) {
-				t.Error("untouched prefetched line survived a demand miss")
-			}
-		})
+	// One 2-way set of 64B blocks: 128B cache. Blocks A, B, C, D all map
+	// to set 0.
+	c := mustCache(t, CacheConfig{SizeKB: 1, Assoc: 2, BlockBytes: 64, Latency: 1})
+	const setStride = 1 * 1024 // sets * blockBytes
+	a, b, d, x := uint64(0), uint64(setStride), uint64(2*setStride), uint64(3*setStride)
+	c.Access(a, false) // stamp 1
+	c.Access(b, false) // stamp 2
+	if !c.Prefetch(d) {
+		t.Fatal("prefetch of absent block should be useful")
+	}
+	// The prefetch evicted LRU line a and must now be older than b.
+	if c.Probe(a) {
+		t.Fatal("prefetch should have evicted the LRU line")
+	}
+	c.Access(x, false) // miss: victim must be the untouched prefetch
+	if !c.Probe(b) {
+		t.Error("demand miss evicted the demand-fetched line instead of the untouched prefetch")
+	}
+	if c.Probe(d) {
+		t.Error("untouched prefetched line survived a demand miss")
 	}
 }
 
@@ -69,8 +54,8 @@ func TestCachePrefetchIntoInvalidWay(t *testing.T) {
 	}
 }
 
-// cacheStream drives an identical randomized access/prefetch/probe stream
-// through c and returns a digest of every observable outcome.
+// cacheStream drives a randomized access/prefetch/probe stream through c
+// and returns every observable outcome (the TestGoldenStreams corpus).
 func cacheStream(c *Cache, seed int64, n int) []uint64 {
 	rng := rand.New(rand.NewSource(seed))
 	var out []uint64
@@ -111,29 +96,6 @@ func cacheStream(c *Cache, seed int64, n int) []uint64 {
 	return out
 }
 
-// TestCacheFastPathEquivalence: the way memo must be invisible — every
-// access outcome and every statistic of a fast-path cache must match the
-// plain scan, across policies and randomized streams.
-func TestCacheFastPathEquivalence(t *testing.T) {
-	for _, pol := range []Replacement{ReplaceLRU, ReplaceFIFO, ReplaceRandom} {
-		cfg := CacheConfig{SizeKB: 2, Assoc: 4, BlockBytes: 64, Latency: 1, Replace: pol}
-		for seed := int64(1); seed <= 5; seed++ {
-			var slow, fast []uint64
-			withFastPaths(t, false, func() {
-				c := mustCache(t, cfg)
-				slow = cacheStream(c, seed, 20000)
-			})
-			withFastPaths(t, true, func() {
-				c := mustCache(t, cfg)
-				fast = cacheStream(c, seed, 20000)
-			})
-			if !reflect.DeepEqual(slow, fast) {
-				t.Fatalf("policy %v seed %d: fast-path cache diverges from plain cache", pol, seed)
-			}
-		}
-	}
-}
-
 // tlbStream drives a skewed random page stream (long same-page streaks,
 // periodic thrashing beyond capacity) and digests hit bits and stats.
 func tlbStream(tb *TLB, seed int64, n int) []uint64 {
@@ -158,55 +120,25 @@ func tlbStream(tb *TLB, seed int64, n int) []uint64 {
 	return append(out, tb.Accesses, tb.Misses)
 }
 
-// TestTLBFastSlowEquivalence: the open-addressed engine must be
-// observation-identical to the map engine — same hit bits, same counters —
-// on streams that stress streaks, re-references, and capacity evictions.
-func TestTLBFastSlowEquivalence(t *testing.T) {
-	for _, entries := range []int{1, 2, 8, 16} {
-		for seed := int64(1); seed <= 5; seed++ {
-			var slow, fast []uint64
-			withFastPaths(t, false, func() {
-				tb, err := NewTLB(entries)
-				if err != nil {
-					t.Fatal(err)
-				}
-				slow = tlbStream(tb, seed, 20000)
-			})
-			withFastPaths(t, true, func() {
-				tb, err := NewTLB(entries)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fast = tlbStream(tb, seed, 20000)
-			})
-			if !reflect.DeepEqual(slow, fast) {
-				t.Fatalf("entries %d seed %d: fast TLB diverges from map TLB", entries, seed)
-			}
+// TestTLBFastReset pins that Reset returns the open-addressed table to a
+// truly empty state (a stale key would corrupt later probe chains).
+func TestTLBFastReset(t *testing.T) {
+	tb, err := NewTLB(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		tb.Access(uint64(i) * 13 * PageBytes)
+	}
+	tb.Reset()
+	if tb.Accesses != 0 || tb.Misses != 0 {
+		t.Fatalf("stats survive Reset: %d/%d", tb.Accesses, tb.Misses)
+	}
+	for i := 0; i < 4; i++ {
+		if tb.Access(uint64(i+1000)*PageBytes) != false {
+			t.Fatal("post-Reset access hit a stale translation")
 		}
 	}
-}
-
-// TestTLBFastReset pins that Reset returns the fast engine to a truly
-// empty table (a stale key would corrupt later probe chains).
-func TestTLBFastReset(t *testing.T) {
-	withFastPaths(t, true, func() {
-		tb, err := NewTLB(4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 100; i++ {
-			tb.Access(uint64(i) * 13 * PageBytes)
-		}
-		tb.Reset()
-		if tb.Accesses != 0 || tb.Misses != 0 {
-			t.Fatalf("stats survive Reset: %d/%d", tb.Accesses, tb.Misses)
-		}
-		for i := 0; i < 4; i++ {
-			if tb.Access(uint64(i+1000)*PageBytes) != false {
-				t.Fatal("post-Reset access hit a stale translation")
-			}
-		}
-	})
 }
 
 // randomReqs builds a request slab with realistic locality: bursts of
@@ -298,27 +230,17 @@ func benchCache(b *testing.B) *Cache {
 // BenchmarkCacheAccess measures the demand-access path over a strided
 // stream with same-block repeats (the pattern the way memo targets).
 func BenchmarkCacheAccess(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		on   bool
-	}{{"fast", true}, {"plain", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			prev := FastPathsEnabled()
-			EnableFastPaths(mode.on)
-			defer EnableFastPaths(prev)
-			c := benchCache(b)
-			addr := uint64(0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// Three touches per block, then advance; wraps at 1MiB so
-				// the cache stays under capacity pressure.
-				c.Access(addr, i&7 == 0)
-				c.Access(addr+8, false)
-				c.Access(addr+16, false)
-				addr = (addr + 64) & (1<<20 - 1)
-			}
-		})
+	c := benchCache(b)
+	addr := uint64(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Three touches per block, then advance; wraps at 1MiB so the
+		// cache stays under capacity pressure.
+		c.Access(addr, i&7 == 0)
+		c.Access(addr+8, false)
+		c.Access(addr+16, false)
+		addr = (addr + 64) & (1<<20 - 1)
 	}
 }
 

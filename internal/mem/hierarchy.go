@@ -246,10 +246,9 @@ const (
 )
 
 // MemReq is one element of a batched request stream: an address plus the
-// access kind. Slabs of these are filled by the cpu warm/replay loops and
-// streamed through the hierarchy in one call, so the per-instruction
-// call overhead and the cache/TLB working state stay hot across a whole
-// batch instead of being re-established per retired instruction.
+// access kind. A slab of them drives the hierarchy with no instruction
+// source attached, which is how the memory layer is measured and tested
+// on its own; the cpu warm loops call WarmI/WarmD directly.
 type MemReq struct {
 	Addr uint64
 	Kind ReqKind
@@ -259,8 +258,7 @@ type MemReq struct {
 // cache and TLB state without computing latencies (the functional-warming
 // contract of WarmI/WarmD). State and statistics after WarmBatch are
 // identical to issuing the same requests through WarmI/WarmD one at a
-// time, because the per-request work is exactly the same — batching only
-// removes call overhead and keeps the scan state resident.
+// time: it is exactly that loop.
 func (h *Hierarchy) WarmBatch(reqs []MemReq) {
 	for i := range reqs {
 		r := &reqs[i]

@@ -229,7 +229,7 @@ type Runner struct {
 	// Timeline, when set, is the interval recorder attached to the core
 	// (see cpu.Timeline). It samples on committed-instruction boundaries
 	// of the detailed cycle stream only, so its samples are deterministic
-	// across worker counts and the trace/checkpoint/fast-path toggles.
+	// across worker counts and the trace/checkpoint store settings.
 	// Attach with AttachTimeline; a nil Timeline costs the core one
 	// pointer check per cycle.
 	Timeline *cpu.Timeline
@@ -309,8 +309,9 @@ func (r *Runner) instrumented() bool {
 // DefaultCheckEvery is the default cancellation polling interval, in
 // instructions. It is small enough that a cancelled run stops within a few
 // hundred microseconds of host time at the repository's simulation speeds,
-// and large enough that the per-chunk bookkeeping is noise (<2% measured by
-// cmd/benchjson's cancel-overhead baseline).
+// and large enough that the per-chunk bookkeeping is one poll per 65,536
+// instructions. perfbench's config-sweep runs every cell on this path,
+// under a cancellable context.
 const DefaultCheckEvery = 1 << 16
 
 // checkEvery returns the effective polling interval.

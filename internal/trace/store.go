@@ -266,8 +266,7 @@ func (s *Store) putLocked(k Key, rg *Region) {
 			s.lru.MoveToFront(el)
 			return
 		}
-		s.evictLocked(el)
-		s.evictions-- // replacement, not pressure
+		s.unlinkLocked(el) // replacement, not pressure: no eviction
 	}
 	el := s.lru.PushFront(&entry{key: k, rg: rg, bytes: cost})
 	s.entries[k] = el
@@ -278,13 +277,21 @@ func (s *Store) putLocked(k Key, rg *Region) {
 	}
 }
 
-// evictLocked removes one element under s.mu.
-func (s *Store) evictLocked(el *list.Element) {
+// unlinkLocked drops one resident element from the LRU, the key map, the
+// position index and the byte total under s.mu, counting nothing.
+func (s *Store) unlinkLocked(el *list.Element) *entry {
 	en := el.Value.(*entry)
 	s.lru.Remove(el)
 	delete(s.entries, en.key)
 	s.removePosLocked(en.key)
 	s.bytes -= en.bytes
+	return en
+}
+
+// evictLocked removes one element under budget pressure, under s.mu, and
+// accounts it as an eviction.
+func (s *Store) evictLocked(el *list.Element) {
+	en := s.unlinkLocked(el)
 	s.evictions++
 	s.mEvictions.Inc()
 	s.record(obs.EvTraceEvict, en.key, en.bytes)

@@ -249,6 +249,34 @@ func TestPutKeepsLongerRegionOnSameStart(t *testing.T) {
 	}
 }
 
+// TestSameStartReplacementIsNotAnEviction: swapping in a longer region
+// recorded at the same start unlinks the shorter one, but nothing left the
+// store under budget pressure, so the evictions counter, the
+// trace_evictions_total series and the journal's evict events must all
+// stay at zero.
+func TestSameStartReplacementIsNotAnEviction(t *testing.T) {
+	s := newTestStore(1 << 20)
+	s.Journal = obs.NewJournal(64)
+	s.Journal.SetEnabled(true)
+	id := ProgID{Name: "p", FP: 1}
+	s.Put(id, region(10, 5, false))
+	s.Put(id, region(10, 50, false))
+	if rg := s.Covering(id, 10, 50); rg == nil || len(rg.Recs) != 50 {
+		t.Fatalf("longer same-start region did not replace: %v", rg)
+	}
+	if st := s.Stats(); st.Evictions != 0 || st.Entries != 1 || st.Bytes != region(10, 50, false).Bytes() {
+		t.Errorf("stats after replacement = %+v, want 1 resident region and no evictions", st)
+	}
+	if n := s.Obs.Counter("trace_evictions_total").Value(); n != 0 {
+		t.Errorf("trace_evictions_total = %d after a same-start replacement, want 0", n)
+	}
+	for _, e := range s.Journal.Tail(64) {
+		if e.Kind == obs.EvTraceEvict {
+			t.Errorf("journal holds an evict event for a same-start replacement: %+v", e)
+		}
+	}
+}
+
 func TestStoreReset(t *testing.T) {
 	s := newTestStore(1 << 20)
 	id := ProgID{Name: "p", FP: 1}
