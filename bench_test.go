@@ -494,21 +494,43 @@ func BenchmarkPowerModel(b *testing.B) {
 }
 
 // BenchmarkSimPointClustering measures the one-time SimPoint planning cost
-// (profiling + projection + k-means + BIC selection).
+// (profiling + projection + k-means + BIC selection) in ms per plan. The
+// 10M max_k 100 cases are plans perfbench's catalogue builds (test scale,
+// 3 seeds, 40 iterations): gcc; perlbmk, whose intervals have no two
+// equal BBVs, so only the bounds prune; and art, whose 900 intervals have
+// 6 distinct BBVs, so the duplicate collapse and ties dominate. The max_k
+// 30 case is gcc at the artifact benchmarks' scale.
 func BenchmarkSimPointClustering(b *testing.B) {
-	p := bench.MustBuild(bench.Gcc, bench.Reference, benchScale)
-	cfg := simpoint.Config{
-		IntervalInstr: benchScale.Instr(10),
-		MaxK:          30, Seeds: 3, MaxIter: 40, ProjectDim: 15, ProjectSeed: 1, BICThreshold: 0.9,
+	catalogue := simpoint.DefaultConfig(sim.ScaleTest.Instr(10), 100)
+	catalogue.Seeds, catalogue.MaxIter = 3, 40
+	cases := []struct {
+		name  string
+		prog  bench.Name
+		scale sim.Scale
+		cfg   simpoint.Config
+	}{
+		{"gcc/10M-maxk100", bench.Gcc, sim.ScaleTest, catalogue},
+		{"perlbmk/10M-maxk100", bench.Perlbmk, sim.ScaleTest, catalogue},
+		{"art/10M-maxk100", bench.Art, sim.ScaleTest, catalogue},
+		{"gcc/10M-maxk30", bench.Gcc, benchScale, simpoint.Config{
+			IntervalInstr: benchScale.Instr(10),
+			MaxK:          30, Seeds: 3, MaxIter: 40, ProjectDim: 15, ProjectSeed: 1, BICThreshold: 0.9,
+		}},
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		plan, err := simpoint.BuildPlan(p, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if plan.K < 1 {
-			b.Fatal("no clusters")
-		}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			p := bench.MustBuild(tc.prog, bench.Reference, tc.scale)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				plan, err := simpoint.BuildPlan(p, tc.cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if plan.K < 1 {
+					b.Fatal("no clusters")
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/plan")
+		})
 	}
 }

@@ -144,8 +144,12 @@ func TestSvATShapes(t *testing.T) {
 			t.Errorf("%s speed %.1f%% >= reference", p.Technique, p.SpeedPct)
 		}
 	}
-	if res.Render() == "" || len(res.FamilyOrdering()) == 0 {
-		t.Error("render/ordering empty")
+	if len(res.FamilyOrdering()) == 0 {
+		t.Error("ordering empty")
+	}
+	// The header is written verbatim, not through a format string.
+	if out := res.Render(); !strings.Contains(out, "\n(speed: % of reference simulation time,") || strings.Contains(out, "%%") {
+		t.Errorf("speed header not rendered verbatim:\n%s", out)
 	}
 }
 

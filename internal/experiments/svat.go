@@ -126,7 +126,7 @@ func SvAT(o *Options, b bench.Name) (*SvATResult, error) {
 func (r *SvATResult) Render() string {
 	var sb strings.Builder
 	sb.WriteString(fmt.Sprintf("Speed vs accuracy trade-off for %s over %d envelope configurations\n", r.Bench, r.Configs))
-	sb.WriteString("(speed: %% of reference simulation time, lower = faster; accuracy: Manhattan distance of CPI vectors, lower = better)\n\n")
+	sb.WriteString("(speed: % of reference simulation time, lower = faster; accuracy: Manhattan distance of CPI vectors, lower = better)\n\n")
 	sb.WriteString(fmt.Sprintf("%-36s %-10s %9s %9s\n", "technique", "family", "speed%", "accuracy"))
 	for _, p := range r.Points {
 		sb.WriteString(fmt.Sprintf("%-36s %-10s %9.2f %9.3f\n", p.Technique, p.Family, p.SpeedPct, p.Accuracy))

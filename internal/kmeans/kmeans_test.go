@@ -56,6 +56,13 @@ func TestClusterErrors(t *testing.T) {
 	if _, err := Cluster(pts, len(pts)+1, 10, xrand.New(1)); err == nil {
 		t.Error("k>n accepted")
 	}
+	ragged := append(pts[:len(pts):len(pts)], []float64{1})
+	if _, err := Cluster(ragged, 1, 10, xrand.New(1)); err == nil {
+		t.Error("points of different dimensions accepted")
+	}
+	if _, err := Best(ragged, 2, 1, 10, 0.9, 1); err == nil {
+		t.Error("Best accepted points of different dimensions")
+	}
 }
 
 func TestBestSelectsAroundTrueK(t *testing.T) {

@@ -143,9 +143,9 @@ func BuildPlan(prog *program.Program, cfg Config) (*Plan, error) {
 	// drawn from the initialization region mis-times its whole cluster. On
 	// full SPEC runs the region is a vanishing fraction of all intervals;
 	// at this repository's scales it is not, so when a cluster's chosen
-	// representative falls in the first ~2% of intervals and the cluster
-	// has members outside that region, the closest such member is used
-	// instead (see EXPERIMENTS.md).
+	// representative falls in the first 1/16 (~6%) of intervals and the
+	// cluster has members outside that region, the closest such member is
+	// used instead (see EXPERIMENTS.md).
 	warmRegion := len(proj) / 16
 	if warmRegion < 1 {
 		warmRegion = 1
